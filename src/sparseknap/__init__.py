@@ -48,11 +48,8 @@ from .indep import (
     IndepLeaf,
     IndepSearch,
     JumpGeometry,
-    boundary_ok_jump,
-    enumerate_indep_classes,
-    greedy_complete,
     jump_geometry,
-    next_maximal,
+    segment_above_frontier,
 )
 from .knapsack import (
     Knapsack,
@@ -78,11 +75,14 @@ from .networks import (
 )
 from .separation import (
     LiftedCut,
+    PointOrder,
     SeparateOptions,
     SeparationResult,
     assemble_cut,
     gub_strengthen,
+    ladder_value,
     max_representative,
+    point_order,
     rank_coefficients,
     separate,
     violation,

@@ -53,6 +53,14 @@ def _jsonify(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
 
+def _exact_number(text: str) -> Fraction:
+    """Parse a decimal or ratio literal exactly: ``1e-3`` is 1/1000."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
 def _reverse_flag(value: str) -> bool | None:
     return {"auto": None, "on": True, "off": False}[value]
 
@@ -113,7 +121,7 @@ def _cmd_separate(args) -> int:
     k, gubs = load_instance(args.instance)
     xhat = load_point(args.point, k.n)
     opts = SeparateOptions(
-        tolerance=Fraction(args.tolerance) if args.tolerance is not None else DEFAULT_TOLERANCE,
+        tolerance=args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE,
         max_cuts=args.max_cuts,
         deadline_s=args.deadline_ms / 1000.0 if args.deadline_ms is not None else None,
         use_gubs=not args.no_gub,
@@ -284,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("point")
     p.add_argument("--reverse", choices=("auto", "on", "off"), default="auto")
     p.add_argument("--no-gub", action="store_true", help="ignore bound groups")
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--tolerance", type=_exact_number, default=None)
     p.add_argument("--max-cuts", type=int, default=None)
     p.add_argument("--deadline-ms", type=int, default=None)
     common(p)

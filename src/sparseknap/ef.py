@@ -18,7 +18,6 @@ column entry witnesses the order, giving linearly many rows instead of the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .covers import CoverClass, LiftingData, compute_lifting
@@ -26,7 +25,7 @@ from .errors import TooLarge
 from .knapsack import Knapsack, WeightClasses, check_tuple_bounds, promote_point
 from .linmodel import LinearModel
 from .networks import ComparisonNetwork, DualCertificate, dual_certificate, insertion_network, oddeven_network
-from .separation import rank_coefficients
+from .separation import ladder_value, point_order, rank_coefficients
 
 NETWORK_BUILDERS: dict[str, Callable[[int], ComparisonNetwork]] = {
     "oddeven": oddeven_network,
@@ -139,13 +138,8 @@ def ef_membership(
     the answer matches feasibility of the model with the input copy pinned.
     """
     wc, lift = _resolve_lift(k, cover, indep)
-    xs = promote_point(xhat, k.n)
-    ladders = rank_coefficients(cover.counts, indep, lift, wc)
-    lhs = Fraction(0)
-    for j, group in enumerate(wc.members):
-        for rank, value in enumerate(sorted(xs[i] for i in group)):
-            lhs += ladders[j][rank] * value
-    return lhs <= cover.rhs
+    prefix = point_order(xhat, wc).prefix
+    return ladder_value(cover.counts, indep, lift, prefix) <= cover.rhs
 
 
 def membership_certificates(

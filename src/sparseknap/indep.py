@@ -99,30 +99,14 @@ def jump_endpoint_clears(
     return y + dy > lift.heavy_sum_at(x + dx) - lift.surplus
 
 
-def boundary_ok_jump(point: tuple[int, int], j: int, geom: JumpGeometry, lift: LiftingData) -> bool:
-    """Public wrapper of the conservative segment test."""
-    return segment_above_frontier(point[0], point[1], j, lift, geom.jumps)
-
-
-class _ExactTracker:
-    __slots__ = ("exact",)
-
-    def __init__(self):
-        self.exact = True
-
-
-def _greedy(
-    s: list[int],
-    m: int,
-    geom: JumpGeometry,
-    lift: LiftingData,
-    tracker: _ExactTracker | None,
-) -> None:
+def _greedy(s: list[int], m: int, geom: JumpGeometry, lift: LiftingData) -> bool:
     """Fill positions ``m+1 .. sigma`` of the slope order greedily, in place.
 
     Positions ``1..m`` (in slope order) are kept as given; every later class
     takes jumps while the conservative test passes and items remain.
+    Returns False when a jump was pruned whose endpoint test would pass.
     """
+    exact = True
     jumps = geom.jumps
     x = y = 0
     for pos in range(m):
@@ -140,23 +124,12 @@ def _greedy(
                 y += dy
                 s[j] += 1
             else:
-                if tracker is not None and jump_endpoint_clears(x, y, j, lift, jumps):
+                if jump_endpoint_clears(x, y, j, lift, jumps):
                     # pruned although the extended selection itself passes:
                     # the enumeration may now miss independent sets
-                    tracker.exact = False
+                    exact = False
                 break
-
-
-def greedy_complete(
-    s, m: int, geom: JumpGeometry, lift: LiftingData
-) -> tuple[int, ...]:
-    """Greedy completion keeping the first ``m`` slope-order entries fixed.
-
-    With ``m = 0`` this yields the first leaf of the search.
-    """
-    out = list(s)
-    _greedy(out, m, geom, lift, None)
-    return tuple(out)
+    return exact
 
 
 def _endpoint(s, geom: JumpGeometry) -> tuple[int, int]:
@@ -166,33 +139,6 @@ def _endpoint(s, geom: JumpGeometry) -> tuple[int, int]:
         x += c * dx
         y += c * dy
     return (x, y)
-
-
-def next_maximal(
-    s, geom: JumpGeometry, lift: LiftingData
-) -> tuple[int, ...] | None:
-    """Next maximal leaf after ``s``, skipping leaves contained in ``s``.
-
-    Backtracks on the last movable slope position (the final position never
-    backtracks: removing from it always yields a subset of the current
-    leaf), decrements, re-completes, and repeats while the result is still
-    contained componentwise in the input.  Returns None when exhausted.
-    """
-    sigma = len(geom.order)
-    init = tuple(s)
-    cur = list(s)
-    while True:
-        star = None
-        for pos in range(sigma - 2, -1, -1):
-            if cur[geom.order[pos]] > 0:
-                star = pos
-                break
-        if star is None:
-            return None
-        cur[geom.order[star]] -= 1
-        _greedy(cur, star + 1, geom, lift, None)
-        if not all(a <= b for a, b in zip(cur, init)):
-            return tuple(cur)
 
 
 class IndepSearch:
@@ -207,17 +153,14 @@ class IndepSearch:
     def __init__(self, cover: CoverClass, lift: LiftingData, wc: WeightClasses):
         self.geometry = jump_geometry(cover, lift, wc)
         self.lift = lift
-        self._tracker = _ExactTracker()
-
-    @property
-    def exact(self) -> bool:
-        return self._tracker.exact
+        self.exact = True
 
     def __iter__(self) -> Iterator[IndepLeaf]:
         geom = self.geometry
         sigma = len(geom.order)
         cur = [0] * sigma
-        _greedy(cur, 0, geom, self.lift, self._tracker)
+        if not _greedy(cur, 0, geom, self.lift):
+            self.exact = False
         last_maximal = tuple(cur)
         yield IndepLeaf(tuple(cur), _endpoint(cur, geom), True)
         while True:
@@ -229,18 +172,11 @@ class IndepSearch:
             if star is None:
                 return
             cur[geom.order[star]] -= 1
-            _greedy(cur, star + 1, geom, self.lift, self._tracker)
+            if not _greedy(cur, star + 1, geom, self.lift):
+                self.exact = False
             leaf = tuple(cur)
             maximal = not all(a <= b for a, b in zip(leaf, last_maximal))
             if maximal:
                 last_maximal = leaf
             yield IndepLeaf(leaf, _endpoint(leaf, geom), maximal)
 
-
-def enumerate_indep_classes(
-    cover: CoverClass, lift: LiftingData, wc: WeightClasses
-) -> tuple[list[IndepLeaf], bool]:
-    """Materialized leaf list of one cover plus its exactness verdict."""
-    search = IndepSearch(cover, lift, wc)
-    leaves = list(search)
-    return leaves, search.exact

@@ -101,12 +101,6 @@ class WeightClasses:
     def n(self) -> int:
         return sum(self.sizes)
 
-    def class_of_item(self, item: int) -> int:
-        for j, group in enumerate(self.members):
-            if item in group:
-                return j
-        raise KeyError(item)
-
     def total_weight(self) -> int:
         total = 0
         for w, group in zip(self.class_weights, self.members):
@@ -229,8 +223,10 @@ def promote_point(values: Sequence, n: int | None = None) -> tuple[Fraction, ...
     out = []
     for i, v in enumerate(values):
         try:
+            if isinstance(v, bool):
+                raise TypeError("booleans are not point values")
             f = Fraction(v)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidFractionalPoint(f"entry #{i + 1} is not a number: {v!r}") from exc
         if f < -POINT_TOLERANCE or f > 1 + POINT_TOLERANCE:
             raise InvalidFractionalPoint(

@@ -67,59 +67,120 @@ def violation(cut: LiftedCut, xhat: Sequence) -> Fraction:
     return sum((c * x for c, x in zip(cut.coeffs, xs)), Fraction(0)) - cut.rhs
 
 
+def class_ladder(c: int, s: int, size: int, base: int) -> tuple[tuple[int, int], ...]:
+    """Rank ladder of one weight class as runs ``(coefficient, ranks)``,
+    from the lowest rank up.
+
+    Rank ``r`` applies to the item holding the ``r``-th smallest point value
+    of the class.  With a positive base coefficient the ladder is 1 on the
+    cover ranks (bottom), the base in the middle and base+1 on the increment
+    ranks (top); with base zero it is 0 below and 1 on the top ``c + s``
+    ranks.  This is the single definition behind pair scoring, the
+    representative choice and the model's cut row.
+    """
+    if base >= 1:
+        return ((1, c), (base, size - c - s), (base + 1, s))
+    return ((0, size - c - s), (1, c + s))
+
+
 def rank_coefficients(
     cover: Sequence[int], indep: Sequence[int], lift: LiftingData, wc: WeightClasses
 ) -> list[list[int]]:
-    """Per-class coefficient ladders against the ascending-sorted point.
+    """Per-class ladders expanded to one coefficient per rank."""
+    return [
+        [
+            coeff
+            for coeff, ranks in class_ladder(cover[j], indep[j], size, lift.base_coeffs[j])
+            for _ in range(ranks)
+        ]
+        for j, size in enumerate(wc.sizes)
+    ]
 
-    Position ``i`` of class ``j`` applies to the item holding the ``i``-th
-    smallest point value of that class.  With a positive base coefficient the
-    ladder is 1 on the cover ranks (bottom), the base in the middle and
-    base+1 on the increment ranks (top); with base zero it is 0 below and 1
-    on the top ``c + s`` ranks.
+
+def ladder_value(
+    cover: Sequence[int],
+    indep: Sequence[int],
+    lift: LiftingData,
+    prefix: Sequence[Sequence[Fraction]],
+) -> Fraction:
+    """Ladders of a class pair dotted with the class-sorted point.
+
+    ``prefix[j]`` holds the ascending prefix sums of class ``j``'s point
+    values (see :class:`PointOrder`); the value is the largest left side
+    that any member inequality of the pair reaches at the point.
     """
-    out = []
-    for j in range(wc.sigma):
-        size = wc.sizes[j]
-        c, s = cover[j], indep[j]
-        base = lift.base_coeffs[j]
-        if base >= 1:
-            ladder = [1] * c + [base] * (size - c - s) + [base + 1] * s
-        else:
-            ladder = [0] * (size - c - s) + [1] * (c + s)
-        out.append(ladder)
-    return out
+    total = Fraction(0)
+    for j, acc in enumerate(prefix):
+        rank = 0
+        runs = class_ladder(cover[j], indep[j], len(acc) - 1, lift.base_coeffs[j])
+        for coeff, ranks in runs:
+            if coeff and ranks:
+                total += coeff * (acc[rank + ranks] - acc[rank])
+            rank += ranks
+    return total
+
+
+@dataclass(frozen=True)
+class PointOrder:
+    """A promoted point sorted within each weight class, built once per point.
+
+    ``ascending[j]`` lists class ``j``'s items by ``(x, index)``,
+    ``descending[j]`` by ``(-x, index)``; ``prefix[j]`` holds the ascending
+    prefix sums of the class's values, starting at 0.
+    """
+
+    xs: tuple[Fraction, ...]
+    ascending: tuple[tuple[int, ...], ...]
+    descending: tuple[tuple[int, ...], ...]
+    prefix: tuple[tuple[Fraction, ...], ...]
+
+
+def point_order(xhat: Sequence, wc: WeightClasses) -> PointOrder:
+    """Promote the point and sort it within every weight class."""
+    xs = promote_point(xhat, wc.n)
+    ascending = []
+    descending = []
+    prefix = []
+    for group in wc.members:
+        # group is index-ascending and sorting is stable, so ties keep the
+        # smaller index first in both directions
+        asc = tuple(sorted(group, key=xs.__getitem__))
+        acc = [Fraction(0)]
+        for i in asc:
+            acc.append(acc[-1] + xs[i])
+        ascending.append(asc)
+        descending.append(tuple(sorted(group, key=lambda i: -xs[i])))
+        prefix.append(tuple(acc))
+    return PointOrder(xs, tuple(ascending), tuple(descending), tuple(prefix))
 
 
 def max_representative(
     cover: Sequence[int],
     indep: Sequence[int],
     lift: LiftingData,
-    xhat: Sequence,
+    order: PointOrder,
     wc: WeightClasses,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Concrete index sets of the class member with the largest left side.
 
     Per class: the increment set takes the ``s`` largest point values; the
     cover then takes the ``c`` smallest remaining values, or the largest when
-    the class base coefficient is zero.  Ties go to the smaller index.
+    the class base coefficient is zero.  Ties go to the smaller index.  The
+    member's left side equals :func:`ladder_value`.  Indices come grouped by
+    weight class, in the order they were picked.
     """
-    xs = promote_point(xhat, wc.n)
-    totals = [c + s for c, s in zip(cover, indep)]
-    check_tuple_bounds(totals, wc)
+    check_tuple_bounds([c + s for c, s in zip(cover, indep)], wc)
     cover_idx: list[int] = []
     indep_idx: list[int] = []
-    for j, group in enumerate(wc.members):
-        desc = sorted(group, key=lambda i: (-xs[i], i))
-        take_s = desc[: indep[j]]
-        rest = [i for i in desc if i not in take_s]
+    for j, (c, s) in enumerate(zip(cover, indep)):
+        desc = order.descending[j]
+        indep_idx.extend(desc[:s])
         if lift.base_coeffs[j] >= 1:
-            take_c = sorted(rest, key=lambda i: (xs[i], i))[: cover[j]]
+            taken = set(desc[:s])
+            cover_idx.extend([i for i in order.ascending[j] if i not in taken][:c])
         else:
-            take_c = rest[: cover[j]]
-        indep_idx.extend(take_s)
-        cover_idx.extend(take_c)
-    return tuple(sorted(cover_idx)), tuple(sorted(indep_idx))
+            cover_idx.extend(desc[s : s + c])
+    return tuple(cover_idx), tuple(indep_idx)
 
 
 def assemble_cut(
@@ -135,25 +196,22 @@ def assemble_cut(
     indep_set = set(indep_idx)
     if cover_set & indep_set:
         raise ValueError("cover and increment set overlap")
-    n = wc.n
-    item_class = {}
-    for j, group in enumerate(wc.members):
-        for i in group:
-            item_class[i] = j
-    coeffs = []
-    for i in range(n):
-        if i in cover_set:
-            coeffs.append(1)
-        elif i in indep_set:
-            coeffs.append(lift.base_coeffs[item_class[i]] + 1)
-        else:
-            coeffs.append(lift.base_coeffs[item_class[i]])
+    coeffs = [0] * wc.n
     cover_counts = [0] * wc.sigma
     indep_counts = [0] * wc.sigma
-    for i in cover_set:
-        cover_counts[item_class[i]] += 1
-    for i in indep_set:
-        indep_counts[item_class[i]] += 1
+    for j, group in enumerate(wc.members):
+        base = lift.base_coeffs[j]
+        for i in group:
+            if i in cover_set:
+                coeffs[i] = 1
+                cover_counts[j] += 1
+            elif i in indep_set:
+                coeffs[i] = base + 1
+                indep_counts[j] += 1
+            else:
+                coeffs[i] = base
+    if sum(cover_counts) + sum(indep_counts) != len(cover_set) + len(indep_set):
+        raise DimensionMismatch(f"index sets reach outside items 0..{wc.n - 1}")
     return LiftedCut(
         coeffs=tuple(coeffs),
         rhs=len(cover_set) - 1,
@@ -242,40 +300,6 @@ def exact_maximal_tuples(
     return out
 
 
-def _class_prefix_sums(xs, wc: WeightClasses) -> list[list[Fraction]]:
-    out = []
-    for group in wc.members:
-        vals = sorted(xs[i] for i in group)
-        acc = [Fraction(0)]
-        for v in vals:
-            acc.append(acc[-1] + v)
-        out.append(acc)
-    return out
-
-
-def _pair_lhs(
-    cover: Sequence[int],
-    indep: Sequence[int],
-    lift: LiftingData,
-    wc: WeightClasses,
-    prefix: list[list[Fraction]],
-) -> Fraction:
-    """Left side of the strongest member inequality, via the rank ladders."""
-    total = Fraction(0)
-    for j in range(wc.sigma):
-        size = wc.sizes[j]
-        c, s = cover[j], indep[j]
-        acc = prefix[j]
-        base = lift.base_coeffs[j]
-        if base >= 1:
-            total += acc[c]
-            total += base * (acc[size - s] - acc[c])
-            total += (base + 1) * (acc[size] - acc[size - s])
-        else:
-            total += acc[size] - acc[size - c - s]
-    return total
-
-
 def separate(
     k: Knapsack,
     xhat: Sequence,
@@ -294,8 +318,7 @@ def separate(
     opts = opts or SeparateOptions()
     started = time.perf_counter()
     wc = k.classes()
-    xs = promote_point(xhat, k.n)
-    prefix = _class_prefix_sums(xs, wc)
+    order = point_order(xhat, wc)
     found: dict[tuple[tuple[int, ...], int], LiftedCut] = {}
     scanned = 0
     truncated = False
@@ -316,17 +339,23 @@ def separate(
             candidates = exact_maximal_tuples(lift, wc, cover.counts)
         for indep_counts in candidates:
             scanned += 1
-            lhs = _pair_lhs(cover.counts, indep_counts, lift, wc, prefix)
-            excess = lhs - cover.rhs
+            excess = ladder_value(cover.counts, indep_counts, lift, order.prefix) - cover.rhs
             if excess <= opts.tolerance:
                 continue
             cover_idx, indep_idx = max_representative(
-                cover.counts, indep_counts, lift, xs, wc
+                cover.counts, indep_counts, lift, order, wc
             )
+            # the representative attains the ladder value, so its violation
+            # is the pair's excess
             cut = assemble_cut(cover_idx, indep_idx, lift, wc, exact_lifting=exact)
             if gubs is not None and opts.use_gubs:
-                cut = gub_strengthen(cut, gubs, cover_idx, indep_idx, lift, wc)
-            cut = replace(cut, violation=violation(cut, xs))
+                raised = gub_strengthen(cut, gubs, cover_idx, indep_idx, lift, wc)
+                # bound groups only raise coefficients from 0 to 1
+                excess += sum(
+                    x for x, old, new in zip(order.xs, cut.coeffs, raised.coeffs) if new != old
+                )
+                cut = raised
+            cut = replace(cut, violation=excess)
             key = (cut.coeffs, cut.rhs)
             kept = found.get(key)
             if kept is None or cut.violation > kept.violation:

@@ -1,7 +1,12 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from sparseknap.cli import build_parser
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -153,3 +158,30 @@ def test_verify_refuses_oversized_instance(tmp_path):
     proc = run_cli("verify", str(inst))
     assert proc.returncode == 3
     assert "refused" in proc.stderr
+
+
+@pytest.mark.parametrize("point_text", ["[0.5, Infinity, 0.5, 0.5]", "[0.5, true, 0.5, 0.5]"])
+def test_separate_rejects_non_numeric_point_entries(tmp_path, point_text):
+    point = tmp_path / "point.json"
+    point.write_text(point_text)
+    proc = run_cli("separate", str(FIXTURES / "w35.json"), str(point))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_separate_tolerance_is_parsed_exactly():
+    args = build_parser().parse_args(["separate", "inst.json", "point.json", "--tolerance", "1e-3"])
+    assert args.tolerance == Fraction(1, 1000)
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-3", "abc", "1/0", "nan"])
+def test_separate_bad_tolerance_is_usage_error(value):
+    proc = run_cli(
+        "separate",
+        str(FIXTURES / "w35.json"),
+        str(FIXTURES / "w35_point.json"),
+        f"--tolerance={value}",
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr

@@ -3,15 +3,12 @@ import random
 from sparseknap import (
     CoverClass,
     IndepSearch,
-    boundary_ok_jump,
     class_profile,
     compute_lifting,
-    enumerate_indep_classes,
-    greedy_complete,
     iter_minimal_cover_classes,
     jump_geometry,
-    next_maximal,
     normalize,
+    segment_above_frontier,
 )
 from sparseknap.oracle import is_independent_exact, maximal_indep_bruteforce
 
@@ -29,11 +26,11 @@ def fig5_data(fig5_view):
 def test_boundary_jump_fig5_segments(fig5_view):
     wc, cover, lift, geom = fig5_data(fig5_view)
     # from (1,1): the middle-weight jump dips to 2.5 under the frontier value 3
-    assert not boundary_ok_jump((1, 1), 1, geom, lift)
+    assert not segment_above_frontier(1, 1, 1, lift, geom.jumps)
     # the heavy jump touches the frontier exactly (3 vs 3): rejected too
-    assert not boundary_ok_jump((1, 1), 2, geom, lift)
+    assert not segment_above_frontier(1, 1, 2, lift, geom.jumps)
     # but both jumps clear the frontier from the origin
-    assert boundary_ok_jump((0, 0), 2, geom, lift)
+    assert segment_above_frontier(0, 0, 2, lift, geom.jumps)
 
 
 def test_boundary_jump_single_step():
@@ -43,54 +40,61 @@ def test_boundary_jump_single_step():
     geom = jump_geometry(cover, lift, wc)
     # light class jump has advance 1: single endpoint check, 3 > 5 - 2 fails
     assert lift.base_coeffs[0] == 0
-    assert not boundary_ok_jump((0, 0), 0, geom, lift)
+    assert not segment_above_frontier(0, 0, 0, lift, geom.jumps)
+
+
+def first_leaf(cover, lift, wc):
+    """The greedy completion from the empty selection opens every search."""
+    leaf = next(iter(IndepSearch(cover, lift, wc)))
+    assert leaf.maximal
+    return leaf.counts
+
+
+def leaf_counts(cover, lift, wc):
+    return [leaf.counts for leaf in IndepSearch(cover, lift, wc)]
 
 
 def test_greedy_fig5_first_leaf(fig5_view):
     wc, cover, lift, geom = fig5_data(fig5_view)
-    first = greedy_complete((0, 0, 0), 0, geom, lift)
-    assert first == (1, 0, 0)
+    assert first_leaf(cover, lift, wc) == (1, 0, 0)
 
 
 def test_greedy_no_jump_cases():
     wc = class_profile(normalize([3, 3, 5, 5], 8))
     cover = CoverClass((2, 1))
     lift = compute_lifting(cover, wc, 8)
-    geom = jump_geometry(cover, lift, wc)
-    assert greedy_complete((0, 0), 0, geom, lift) == (0, 0)
+    assert first_leaf(cover, lift, wc) == (0, 0)
 
     k = normalize([1, 1, 1, 2], 2)
     wc2 = class_profile(k)
     cover2 = CoverClass((1, 1))
     lift2 = compute_lifting(cover2, wc2, 2)
-    geom2 = jump_geometry(cover2, lift2, wc2)
-    assert greedy_complete((0, 0), 0, geom2, lift2) == (0, 0)
+    assert first_leaf(cover2, lift2, wc2) == (0, 0)
 
 
 def test_next_maximal_exhaustion_cases():
+    # the search stops right after its first leaf when nothing can backtrack
     single = class_profile(normalize([4, 4, 4], 8))
     cover = CoverClass((3,))
     lift = compute_lifting(cover, single, 8)
-    geom = jump_geometry(cover, lift, single)
-    assert next_maximal((0,), geom, lift) is None
+    assert leaf_counts(cover, lift, single) == [(0,)]
 
     wc = class_profile(normalize([3, 3, 5, 5], 8))
     cover = CoverClass((2, 1))
     lift = compute_lifting(cover, wc, 8)
-    geom = jump_geometry(cover, lift, wc)
-    assert next_maximal((0, 0), geom, lift) is None
+    assert leaf_counts(cover, lift, wc) == [(0, 0)]
 
 
 def test_enumerate_fig5_conservative(fig5_view):
     wc, capacity = fig5_view
     cover = CoverClass((0, 2, 0))
     lift = compute_lifting(cover, wc, capacity)
-    leaves, exact = enumerate_indep_classes(cover, lift, wc)
-    counts = [leaf.counts for leaf in leaves]
+    search = IndepSearch(cover, lift, wc)
+    counts = [leaf.counts for leaf in search]
     assert (1, 0, 0) in counts
     assert (1, 0, 1) not in counts  # pruned by the conservative segment test
     assert (1, 1, 0) not in counts
-    assert not exact
+    assert not search.exact
     # the truth disagrees, which is exactly what the cleared flag warns about
     assert is_independent_exact((1, 0, 1), lift, wc)
     assert not is_independent_exact((1, 1, 0), lift, wc)
@@ -101,9 +105,10 @@ def test_enumerate_empty_only():
     wc = class_profile(normalize([3, 3, 5, 5], 8))
     cover = CoverClass((2, 1))
     lift = compute_lifting(cover, wc, 8)
-    leaves, exact = enumerate_indep_classes(cover, lift, wc)
+    search = IndepSearch(cover, lift, wc)
+    leaves = list(search)
     assert [leaf.counts for leaf in leaves] == [(0, 0)]
-    assert leaves[0].maximal and exact
+    assert leaves[0].maximal and search.exact
 
 
 def test_endpoints_strictly_increase_along_containment():
@@ -114,7 +119,7 @@ def test_endpoints_strictly_increase_along_containment():
         for cover in iter_minimal_cover_classes(wc, k.capacity):
             lift = compute_lifting(cover, wc, k.capacity)
             geom = jump_geometry(cover, lift, wc)
-            leaves, _ = enumerate_indep_classes(cover, lift, wc)
+            leaves = list(IndepSearch(cover, lift, wc))
             for leaf in leaves:
                 x, y = leaf.endpoint
                 assert x == sum(c * geom.jumps[j][0] for j, c in enumerate(leaf.counts))

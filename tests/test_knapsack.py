@@ -128,6 +128,14 @@ def test_promote_point_tolerance():
         promote_point([-0.01])
 
 
+@pytest.mark.parametrize(
+    "entry", [float("inf"), float("-inf"), float("nan"), True, False, None, "x"]
+)
+def test_promote_point_rejects_non_numbers(entry):
+    with pytest.raises(InvalidFractionalPoint):
+        promote_point([0.5, entry])
+
+
 def test_instance_files_are_one_based(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({"weights": [1, 1, 2], "capacity": 2, "gubs": [[1, 2], [3]]}))

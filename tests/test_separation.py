@@ -10,10 +10,13 @@ from sparseknap import (
     assemble_cut,
     class_profile,
     compute_lifting,
+    ef_membership,
     gub_strengthen,
     iter_minimal_cover_classes,
+    ladder_value,
     max_representative,
     normalize,
+    point_order,
     promote_point,
     rank_coefficients,
     separate,
@@ -28,15 +31,28 @@ from conftest import random_fraction_point, random_valid_instance
 K35 = normalize([3, 3, 5, 5], 8)
 W35 = class_profile(K35)
 XHAT = [0.9, 0.4, 0.8, 0.7]
+ORDER = point_order(XHAT, W35)
 
 
 def lift_for(counts, wc=W35, capacity=8):
     return compute_lifting(CoverClass(counts), wc, capacity)
 
 
+def random_groups(rng, n):
+    """Random partition of the items into bound groups of 1-3 items."""
+    items = list(range(n))
+    rng.shuffle(items)
+    groups = []
+    while items:
+        size = min(len(items), rng.randint(1, 3))
+        groups.append(tuple(sorted(items[:size])))
+        items = items[size:]
+    return tuple(groups)
+
+
 def test_max_representative_prefers_small_values_for_positive_base():
     lift = lift_for((2, 1))
-    cover_idx, indep_idx = max_representative((2, 1), (0, 0), lift, XHAT, W35)
+    cover_idx, indep_idx = max_representative((2, 1), (0, 0), lift, ORDER, W35)
     assert indep_idx == ()
     # heavy class has base coefficient 1: the cover picks the smaller 0.7
     assert 3 in cover_idx and 2 not in cover_idx
@@ -44,14 +60,14 @@ def test_max_representative_prefers_small_values_for_positive_base():
 
 def test_max_representative_full_class():
     lift = lift_for((2, 1))
-    _, indep_idx = max_representative((0, 1), (2, 0), lift, XHAT, W35)
+    _, indep_idx = max_representative((0, 1), (2, 0), lift, ORDER, W35)
     assert set(indep_idx) == {0, 1}
 
 
 def test_max_representative_bounds():
     lift = lift_for((2, 1))
     with pytest.raises(TupleExceedsClass):
-        max_representative((2, 1), (1, 2), lift, XHAT, W35)
+        max_representative((2, 1), (1, 2), lift, ORDER, W35)
 
 
 def test_max_representative_dominates_all_members():
@@ -71,7 +87,8 @@ def test_max_representative_dominates_all_members():
                 space *= comb(size, c) * comb(size - c, s)
             if space > 3000:
                 continue
-            cover_idx, indep_idx = max_representative(cover.counts, indep, lift, xs, wc)
+            order = point_order(xs, wc)
+            cover_idx, indep_idx = max_representative(cover.counts, indep, lift, order, wc)
             rep = assemble_cut(cover_idx, indep_idx, lift, wc)
             rep_lhs = violation(rep, xs) + rep.rhs
             for c_set, s_set in class_members(wc, cover.counts, indep):
@@ -244,14 +261,62 @@ def test_emitted_cuts_are_valid_with_and_without_groups():
         plain = separate(k, xs, opts=SeparateOptions(tolerance=Fraction(0)))
         for cut in plain.cuts:
             assert cut_valid(cut.coeffs, cut.rhs, k.weights, k.capacity)
-        # random partition into groups
-        items = list(range(k.n))
-        rng.shuffle(items)
-        groups = []
-        while items:
-            size = min(len(items), rng.randint(1, 3))
-            groups.append(tuple(sorted(items[:size])))
-            items = items[size:]
-        grouped = separate(k, xs, gubs=tuple(groups), opts=SeparateOptions(tolerance=Fraction(0)))
+        groups = random_groups(rng, k.n)
+        grouped = separate(k, xs, gubs=groups, opts=SeparateOptions(tolerance=Fraction(0)))
         for cut in grouped.cuts:
-            assert cut_valid(cut.coeffs, cut.rhs, k.weights, k.capacity, tuple(groups))
+            assert cut_valid(cut.coeffs, cut.rhs, k.weights, k.capacity, groups)
+
+
+def test_reported_violation_is_the_cuts_slack():
+    # plain cuts report the pair's ladder excess, group-raised cuts add the
+    # raised items' values; both must equal coeffs . x - rhs
+    rng = random.Random(61)
+    raised = plain = 0
+    for _ in range(60):
+        k = random_valid_instance(rng, n_max=10)
+        point = random_fraction_point(rng, k.n)
+        xs = promote_point(point)
+        groups = random_groups(rng, k.n)
+        for gubs in (None, groups):
+            res = separate(k, point, gubs=gubs, opts=SeparateOptions(tolerance=Fraction(0)))
+            for cut in res.cuts:
+                slack = sum((c * x for c, x in zip(cut.coeffs, xs)), Fraction(0)) - cut.rhs
+                assert cut.violation == slack, (k.weights, k.capacity, point, gubs, cut)
+                if cut.gub_strengthened:
+                    raised += 1
+                else:
+                    plain += 1
+    assert raised > 0 and plain > 0
+
+
+def test_rank_ladder_agrees_across_scoring_rows_and_membership():
+    # the model's cut row (expanded ladders dotted with the class-sorted
+    # point), pair scoring and the membership decision read one ladder
+    rng = random.Random(67)
+    pairs = 0
+    for _ in range(40):
+        k = random_valid_instance(rng, n_max=10)
+        wc = class_profile(k)
+        xs = promote_point(random_fraction_point(rng, k.n))
+        order = point_order(xs, wc)
+        for cover in iter_minimal_cover_classes(wc, k.capacity):
+            lift = compute_lifting(cover, wc, k.capacity)
+            tuples = exact_maximal_tuples(lift, wc, cover.counts)
+            indep = tuples[rng.randrange(len(tuples))]
+            ladders = rank_coefficients(cover.counts, indep, lift, wc)
+            row = sum(
+                (
+                    coeff * value
+                    for ladder, group in zip(ladders, wc.members)
+                    for coeff, value in zip(ladder, sorted(xs[i] for i in group))
+                ),
+                Fraction(0),
+            )
+            score = ladder_value(cover.counts, indep, lift, order.prefix)
+            assert row == score
+            assert ef_membership(k, cover, indep, xs) == (score <= cover.rhs)
+            # the representative attains the score
+            rep = assemble_cut(*max_representative(cover.counts, indep, lift, order, wc), lift, wc)
+            assert violation(rep, xs) + rep.rhs == score
+            pairs += 1
+    assert pairs > 40

@@ -124,10 +124,9 @@ def _cmd_separate(args) -> int:
         tolerance=args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE,
         max_cuts=args.max_cuts,
         deadline_s=args.deadline_ms / 1000.0 if args.deadline_ms is not None else None,
-        use_gubs=not args.no_gub,
         reverse=_reverse_flag(args.reverse),
     )
-    result = separate(k, xhat, gubs=gubs, opts=opts)
+    result = separate(k, xhat, gubs=None if args.no_gub else gubs, opts=opts)
     records = [
         {
             "coeffs": list(cut.coeffs),

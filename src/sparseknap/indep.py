@@ -11,12 +11,15 @@ integral abscissa.  That pruning is sound (everything reported is
 independent) but can drop sets whose long jumps dive under the frontier and
 come back up; ``exact`` reports whether such a rejection happened, in which
 case maximality claims for this cover must be downgraded to validity only.
+For such covers :func:`exact_maximal_tuples` lists the maximal classes
+exactly, deciding each tuple by the same endpoint test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import product
+from typing import Iterator, Sequence
 
 from .covers import CoverClass, LiftingData
 from .knapsack import WeightClasses
@@ -91,12 +94,10 @@ def segment_above_frontier(
     return True
 
 
-def jump_endpoint_clears(
-    x: int, y: int, j: int, lift: LiftingData, jumps: tuple[tuple[int, int], ...]
-) -> bool:
-    """Endpoint-only test: the extended selection itself stays independent."""
-    dx, dy = jumps[j]
-    return y + dy > lift.heavy_sum_at(x + dx) - lift.surplus
+def clears_frontier(x: int, y: int, lift: LiftingData) -> bool:
+    """Subset criterion at one selection: its point ``(x, y)`` (coefficient
+    mass, weight) lies strictly above the frontier."""
+    return y > lift.heavy_sum_at(x) - lift.surplus
 
 
 def _greedy(s: list[int], m: int, geom: JumpGeometry, lift: LiftingData) -> bool:
@@ -124,7 +125,7 @@ def _greedy(s: list[int], m: int, geom: JumpGeometry, lift: LiftingData) -> bool
                 y += dy
                 s[j] += 1
             else:
-                if jump_endpoint_clears(x, y, j, lift, jumps):
+                if clears_frontier(x + dx, y + dy, lift):
                     # pruned although the extended selection itself passes:
                     # the enumeration may now miss independent sets
                     exact = False
@@ -180,3 +181,51 @@ class IndepSearch:
                 last_maximal = leaf
             yield IndepLeaf(leaf, _endpoint(leaf, geom), maximal)
 
+
+def exact_maximal_tuples(
+    lift: LiftingData, wc: WeightClasses, cover_counts: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """All maximal increment-set classes of one cover, sorted.
+
+    Independent tuples form a down-set: a tuple is independent when it
+    clears the frontier and every one-unit-smaller tuple is independent.
+    Each prefix of the first ``sigma - 1`` counts therefore owns a height,
+    the largest last-class count it stays independent up to (or -1); that
+    height is capped by the heights of the one-smaller prefixes and found by
+    climbing from zero.  A prefix gives a maximal tuple when no one-larger
+    prefix reaches its height.  Used in place of the jump search when that
+    search pruned lossily.
+    """
+    geom = jump_geometry(CoverClass(tuple(cover_counts)), lift, wc)
+    *head, last = geom.avail
+    (dx, dy), head_jumps = geom.jumps[-1], geom.jumps[:-1]
+    # position of a prefix in product order, as a mixed-radix number
+    strides = [1] * len(head)
+    for j in range(len(head) - 2, -1, -1):
+        strides[j] = strides[j + 1] * (head[j + 1] + 1)
+    prefixes = list(product(*(range(a + 1) for a in head)))
+    height: list[int] = []
+    for idx, prefix in enumerate(prefixes):
+        cap = last
+        x = y = 0
+        for q, stride, (jx, jy) in zip(prefix, strides, head_jumps):
+            if q:
+                cap = min(cap, height[idx - stride])
+                x += q * jx
+                y += q * jy
+        top = -1
+        # the empty tuple is independent without a test
+        if cap >= 0 and (x == 0 or clears_frontier(x, y, lift)):
+            top = 0
+            while top < cap and clears_frontier(x + (top + 1) * dx, y + (top + 1) * dy, lift):
+                top += 1
+        height.append(top)
+    return [
+        prefix + (top,)
+        for idx, (prefix, top) in enumerate(zip(prefixes, height))
+        if top >= 0
+        and all(
+            q == a or height[idx + stride] < top
+            for q, a, stride in zip(prefix, head, strides)
+        )
+    ]

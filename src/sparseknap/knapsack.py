@@ -217,14 +217,15 @@ def validate_gubs(groups: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, .
 def promote_point(values: Sequence, n: int | None = None) -> tuple[Fraction, ...]:
     """Promote a fractional point to exact rationals, clamped into [0, 1].
 
-    Entries may stick out of [0, 1] by at most ``POINT_TOLERANCE`` (solver
-    round-off); anything worse raises :class:`InvalidFractionalPoint`.
+    Entries must be numbers, not booleans or strings.  They may stick out of
+    [0, 1] by at most ``POINT_TOLERANCE`` (solver round-off); anything worse
+    raises :class:`InvalidFractionalPoint`.
     """
     out = []
     for i, v in enumerate(values):
         try:
-            if isinstance(v, bool):
-                raise TypeError("booleans are not point values")
+            if isinstance(v, (bool, str)):
+                raise TypeError(f"{type(v).__name__} entries are not point values")
             f = Fraction(v)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidFractionalPoint(f"entry #{i + 1} is not a number: {v!r}") from exc

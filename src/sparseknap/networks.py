@@ -152,23 +152,6 @@ class DualCertificate:
     objective: Fraction
 
 
-def _strict_trace(net: ComparisonNetwork, xs: list[Fraction]) -> list[list[int]]:
-    """Trace under a total order (value, entry index): no ties remain, so
-    compared entries keep a fixed relative order for the rest of the run."""
-    key = list(enumerate(xs))  # entry -> (entry, value); compare by (value, entry)
-    wire_entry = list(range(net.n))
-    phi = [[l] for l in range(net.n)]
-    for i, j in net.comparators:
-        a, b = wire_entry[i], wire_entry[j]
-        if (xs[b], b) < (xs[a], a):
-            wire_entry[i], wire_entry[j] = b, a
-        for l in range(net.n):
-            phi[l].append(phi[l][-1])
-        phi[wire_entry[i]][-1] = i
-        phi[wire_entry[j]][-1] = j
-    return phi
-
-
 def dual_certificate(
     net: ComparisonNetwork, xhat: Sequence, v: Sequence
 ) -> DualCertificate:
@@ -186,7 +169,9 @@ def dual_certificate(
     if any(c < 0 for c in vs) or any(vs[i] > vs[i + 1] for i in range(n - 1)):
         raise ValueError("coefficients must be non-negative and non-decreasing")
 
-    phi = _strict_trace(net, xs)
+    # compare by (value, entry): no ties remain, so compared entries keep a
+    # fixed relative order for the rest of the run
+    _, phi = apply(net, list(zip(xs, range(n))))
     vfin = [vs[phi[l][big_k]] for l in range(n)]  # entry -> v of final wire
 
     entry_at = [[0] * n for _ in range(big_k + 1)]

@@ -19,8 +19,14 @@ from typing import Sequence
 
 from .covers import LiftingData, compute_lifting, iter_minimal_cover_classes
 from .errors import DimensionMismatch
-from .indep import IndepSearch
-from .knapsack import Knapsack, WeightClasses, check_tuple_bounds, promote_point
+from .indep import IndepSearch, exact_maximal_tuples
+from .knapsack import (
+    Knapsack,
+    WeightClasses,
+    check_tuple_bounds,
+    promote_point,
+    validate_gubs,
+)
 
 DEFAULT_TOLERANCE = Fraction(1, 10**9)
 
@@ -43,7 +49,6 @@ class SeparateOptions:
     tolerance: Fraction = DEFAULT_TOLERANCE
     max_cuts: int | None = None
     deadline_s: float | None = None
-    use_gubs: bool = True
     reverse: bool | None = None  # cover enumeration direction (None = auto)
 
 
@@ -221,9 +226,19 @@ def assemble_cut(
     )
 
 
+def item_groups(gubs: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
+    """Group index of every item, after checking that the 0-based groups
+    partition the items (see :func:`validate_gubs`)."""
+    group_of = [0] * n
+    for g, group in enumerate(validate_gubs(gubs, n)):
+        for i in group:
+            group_of[i] = g
+    return tuple(group_of)
+
+
 def gub_strengthen(
     cut: LiftedCut,
-    gubs: Sequence[Sequence[int]],
+    group_of: Sequence[int],
     cover_idx: Sequence[int],
     indep_idx: Sequence[int],
     lift: LiftingData,
@@ -234,13 +249,10 @@ def gub_strengthen(
     In a class with base coefficient zero, an item outside the cut that
     shares a group with a used item of the same class can never join it in a
     feasible point, so its coefficient lifts from 0 to 1.  Classes with a
-    positive base are untouched.
+    positive base are untouched.  ``group_of[i]`` is the group of item ``i``
+    (see :func:`item_groups`); the cut itself comes back when nothing rises.
     """
     used = set(cover_idx) | set(indep_idx)
-    group_of = {}
-    for g, group in enumerate(gubs):
-        for i in group:
-            group_of[i] = g
     coeffs = list(cut.coeffs)
     raised = False
     for j, group in enumerate(wc.members):
@@ -255,49 +267,6 @@ def gub_strengthen(
     if not raised:
         return cut
     return replace(cut, coeffs=tuple(coeffs), gub_strengthened=True)
-
-
-def exact_maximal_tuples(
-    lift: LiftingData, wc: WeightClasses, cover_counts: Sequence[int]
-) -> list[tuple[int, ...]]:
-    """Maximal increment-set classes by the exact cardinality-ordered scan.
-
-    Walks every tuple within availability by increasing size, memoizing
-    independence verdicts (a tuple qualifies when its own inequality holds
-    and all one-unit-smaller tuples qualify); maximal means no one-unit
-    extension qualifies.  Polynomial for a fixed class count; used as the
-    fallback when the jump search had to prune lossily.
-    """
-    from itertools import product
-
-    avail = tuple(size - c for size, c in zip(wc.sizes, cover_counts))
-    ok: dict[tuple[int, ...], bool] = {}
-    for t in sorted(product(*(range(a + 1) for a in avail)), key=sum):
-        if sum(t) == 0:
-            ok[t] = True
-            continue
-        weight = sum(q * w for q, w in zip(t, wc.class_weights))
-        advance = sum(q * (lift.base_coeffs[j] + 1) for j, q in enumerate(t))
-        verdict = weight > lift.heavy_sum_at(advance) - lift.surplus
-        if verdict:
-            for j in range(len(t)):
-                if t[j] > 0 and not ok[t[:j] + (t[j] - 1,) + t[j + 1 :]]:
-                    verdict = False
-                    break
-        ok[t] = verdict
-    out = []
-    for t, good in ok.items():
-        if not good:
-            continue
-        extendable = False
-        for j in range(len(t)):
-            if t[j] < avail[j] and ok[t[:j] + (t[j] + 1,) + t[j + 1 :]]:
-                extendable = True
-                break
-        if not extendable:
-            out.append(t)
-    out.sort()
-    return out
 
 
 def separate(
@@ -319,6 +288,7 @@ def separate(
     started = time.perf_counter()
     wc = k.classes()
     order = point_order(xhat, wc)
+    group_of = item_groups(gubs, k.n) if gubs is not None else None
     found: dict[tuple[tuple[int, ...], int], LiftedCut] = {}
     scanned = 0
     truncated = False
@@ -335,7 +305,7 @@ def separate(
         exact = search.exact
         if not exact:
             # the jump search pruned lossily for this cover; recover the
-            # missed classes with the exact polynomial scan
+            # missed classes with the exact staircase walk
             candidates = exact_maximal_tuples(lift, wc, cover.counts)
         for indep_counts in candidates:
             scanned += 1
@@ -348,8 +318,8 @@ def separate(
             # the representative attains the ladder value, so its violation
             # is the pair's excess
             cut = assemble_cut(cover_idx, indep_idx, lift, wc, exact_lifting=exact)
-            if gubs is not None and opts.use_gubs:
-                raised = gub_strengthen(cut, gubs, cover_idx, indep_idx, lift, wc)
+            if group_of is not None:
+                raised = gub_strengthen(cut, group_of, cover_idx, indep_idx, lift, wc)
                 # bound groups only raise coefficients from 0 to 1
                 excess += sum(
                     x for x, old, new in zip(order.xs, cut.coeffs, raised.coeffs) if new != old

@@ -22,6 +22,14 @@ def random_valid_instance(rng: random.Random, n_max=12, sigma_max=3, weight_max=
             continue
 
 
+# instances found by randomized search where the conservative jump pruning
+# genuinely misses increment-set classes, so separation takes its fallback
+LOSSY_INSTANCES = (
+    ((19, 16, 16, 19, 19, 26, 26, 16), 41),
+    ((26, 22, 26, 22, 22, 18, 26, 22, 22, 18), 41),
+)
+
+
 def random_fraction_point(rng: random.Random, n: int):
     return [rng.random() for _ in range(n)]
 

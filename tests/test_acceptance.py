@@ -40,10 +40,10 @@ from sparseknap.oracle import (
     cut_valid,
     facet_rank,
     is_independent_exact,
+    maximal_indep_bruteforce,
     minimal_covers_bruteforce,
     separate_bruteforce,
 )
-from sparseknap.separation import exact_maximal_tuples
 
 from conftest import random_fraction_point, random_valid_instance
 
@@ -205,7 +205,7 @@ def test_criterion_8_membership_equivalence():
         covers = list(iter_minimal_cover_classes(wc, k.capacity))
         cover = covers[rng.randrange(len(covers))]
         lift = compute_lifting(cover, wc, k.capacity)
-        tuples = exact_maximal_tuples(lift, wc, cover.counts)
+        tuples = sorted(maximal_indep_bruteforce(cover.counts, lift, wc))
         indep = tuples[rng.randrange(len(tuples))]
         space = 1
         for size, c, s in zip(wc.sizes, cover.counts, indep):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,14 +10,19 @@ import pytest
 from sparseknap.cli import build_parser
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(*args, cwd=None):
+    # the package is imported from this checkout's src, whatever the caller's path
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "sparseknap", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
 
 
@@ -160,7 +166,10 @@ def test_verify_refuses_oversized_instance(tmp_path):
     assert "refused" in proc.stderr
 
 
-@pytest.mark.parametrize("point_text", ["[0.5, Infinity, 0.5, 0.5]", "[0.5, true, 0.5, 0.5]"])
+@pytest.mark.parametrize(
+    "point_text",
+    ["[0.5, Infinity, 0.5, 0.5]", "[0.5, true, 0.5, 0.5]", '["0.5", "1/2", "0.9", "0.7"]'],
+)
 def test_separate_rejects_non_numeric_point_entries(tmp_path, point_text):
     point = tmp_path / "point.json"
     point.write_text(point_text)

@@ -28,10 +28,9 @@ from sparseknap import (
     violation,
 )
 from sparseknap.covers import CoverCursor
-from sparseknap.oracle import separate_bruteforce
-from sparseknap.separation import exact_maximal_tuples
+from sparseknap.oracle import maximal_indep_bruteforce, separate_bruteforce
 
-from conftest import random_fraction_point, random_valid_instance
+from conftest import LOSSY_INSTANCES, random_fraction_point, random_valid_instance
 
 scipy_linprog = pytest.importorskip("scipy.optimize", reason="LP cross-check needs scipy").linprog
 
@@ -81,7 +80,7 @@ def test_membership_matches_lp_feasibility():
         covers = list(iter_minimal_cover_classes(wc, k.capacity))
         cover = covers[rng.randrange(len(covers))]
         lift = compute_lifting(cover, wc, k.capacity)
-        tuples = exact_maximal_tuples(lift, wc, cover.counts)
+        tuples = sorted(maximal_indep_bruteforce(cover.counts, lift, wc))
         indep = tuples[rng.randrange(len(tuples))]
         # mix in near-threshold points so both verdicts occur
         xs = [min(1.0, rng.random() * 1.4) for _ in range(k.n)]
@@ -129,17 +128,10 @@ def test_orbisack_truncated_model_accepts_prefix_ordered_points():
             assert lp
 
 
-# instances found by randomized search where the conservative jump pruning
-# genuinely misses increment-set classes; the separation fallback must keep
-# the reported optimum exact on them
-LOSSY_INSTANCES = (
-    ((19, 16, 16, 19, 19, 26, 26, 16), 41),
-    ((26, 22, 26, 22, 22, 18, 26, 22, 22, 18), 41),
-)
-
 
 @pytest.mark.parametrize("weights,capacity", LOSSY_INSTANCES)
 def test_separation_stays_exact_on_lossy_instances(weights, capacity):
+    # the separation fallback must keep the reported optimum exact
     k = normalize(list(weights), capacity)
     wc = class_profile(k)
     saw_inexact = False

@@ -27,8 +27,7 @@ from sparseknap import (
     write_lp,
 )
 from sparseknap.errors import TooLarge
-from sparseknap.oracle import class_members
-from sparseknap.separation import exact_maximal_tuples
+from sparseknap.oracle import class_members, maximal_indep_bruteforce
 
 from conftest import random_fraction_point, random_valid_instance
 
@@ -104,7 +103,7 @@ def test_trace_point_is_feasible_in_class_model():
         wc = class_profile(k)
         cover = next(iter(iter_minimal_cover_classes(wc, k.capacity)))
         lift = compute_lifting(cover, wc, k.capacity)
-        indep = exact_maximal_tuples(lift, wc, cover.counts)[0]
+        indep = sorted(maximal_indep_bruteforce(cover.counts, lift, wc))[0]
         model = class_ef(k, cover, indep)
         xs = promote_point(random_fraction_point(rng, k.n))
         depth = max(
@@ -156,7 +155,7 @@ def test_ef_membership_matches_explicit_members():
         covers = list(iter_minimal_cover_classes(wc, k.capacity))
         cover = covers[rng.randrange(len(covers))]
         lift = compute_lifting(cover, wc, k.capacity)
-        tuples = exact_maximal_tuples(lift, wc, cover.counts)
+        tuples = sorted(maximal_indep_bruteforce(cover.counts, lift, wc))
         indep = tuples[rng.randrange(len(tuples))]
         if rng.random() < 0.5 and sum(indep) > 0:
             # sub-tuples stay independent; membership must hold for them too

@@ -10,9 +10,10 @@ from sparseknap import (
     normalize,
     segment_above_frontier,
 )
+from sparseknap.indep import exact_maximal_tuples
 from sparseknap.oracle import is_independent_exact, maximal_indep_bruteforce
 
-from conftest import random_valid_instance
+from conftest import LOSSY_INSTANCES, random_valid_instance
 
 
 def fig5_data(fig5_view):
@@ -174,3 +175,31 @@ def test_search_sound_and_complete_when_exact():
             else:
                 inexact_seen += 1
     assert inexact_seen >= 0  # informational; inexact covers are rare
+
+
+def agrees_with_oracle(cover, lift, wc):
+    truth = sorted(maximal_indep_bruteforce(cover.counts, lift, wc))
+    return exact_maximal_tuples(lift, wc, cover.counts) == truth
+
+
+def test_staircase_walk_matches_oracle():
+    rng = random.Random(43)
+    lossy = [normalize(list(weights), capacity) for weights, capacity in LOSSY_INSTANCES]
+    for k in [random_valid_instance(rng, n_max=16, sigma_max=4) for _ in range(300)] + lossy:
+        wc = class_profile(k)
+        for cover in iter_minimal_cover_classes(wc, k.capacity):
+            lift = compute_lifting(cover, wc, k.capacity)
+            assert agrees_with_oracle(cover, lift, wc), (k.weights, k.capacity, cover.counts)
+    # the capacity-220 family of the cut-loop benchmark: the search prunes
+    # exactly one of its covers lossily, and that cover takes the walk
+    wide = normalize([16, 19, 34, 40] * 20, 220)
+    wc = class_profile(wide)
+    inexact = []
+    for cover in iter_minimal_cover_classes(wc, wide.capacity):
+        lift = compute_lifting(cover, wc, wide.capacity)
+        search = IndepSearch(cover, lift, wc)
+        list(search)
+        if not search.exact:
+            inexact.append((cover, lift))
+    assert len(inexact) == 1
+    assert agrees_with_oracle(*inexact[0], wc)

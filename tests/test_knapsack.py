@@ -129,7 +129,7 @@ def test_promote_point_tolerance():
 
 
 @pytest.mark.parametrize(
-    "entry", [float("inf"), float("-inf"), float("nan"), True, False, None, "x"]
+    "entry", [float("inf"), float("-inf"), float("nan"), True, False, None, "x", "0.5", "1/2"]
 )
 def test_promote_point_rejects_non_numbers(entry):
     with pytest.raises(InvalidFractionalPoint):

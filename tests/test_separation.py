@@ -22,9 +22,14 @@ from sparseknap import (
     separate,
     violation,
 )
-from sparseknap.errors import TupleExceedsClass
-from sparseknap.oracle import class_members, cut_valid, separate_bruteforce
-from sparseknap.separation import exact_maximal_tuples
+from sparseknap.errors import OverlappingGroups, TupleExceedsClass, UncoveredIndex
+from sparseknap.oracle import (
+    class_members,
+    cut_valid,
+    maximal_indep_bruteforce,
+    separate_bruteforce,
+)
+from sparseknap.separation import item_groups
 
 from conftest import random_fraction_point, random_valid_instance
 
@@ -78,7 +83,7 @@ def test_max_representative_dominates_all_members():
         xs = promote_point(random_fraction_point(rng, k.n))
         for cover in iter_minimal_cover_classes(wc, k.capacity):
             lift = compute_lifting(cover, wc, k.capacity)
-            tuples = exact_maximal_tuples(lift, wc, cover.counts)
+            tuples = sorted(maximal_indep_bruteforce(cover.counts, lift, wc))
             indep = tuples[rng.randrange(len(tuples))]
             space = 1
             for size, c, s in zip(wc.sizes, cover.counts, indep):
@@ -124,7 +129,7 @@ def test_rank_coefficients_are_non_decreasing():
         wc = class_profile(k)
         for cover in iter_minimal_cover_classes(wc, k.capacity):
             lift = compute_lifting(cover, wc, k.capacity)
-            for indep in exact_maximal_tuples(lift, wc, cover.counts):
+            for indep in sorted(maximal_indep_bruteforce(cover.counts, lift, wc)):
                 for ladder in rank_coefficients(cover.counts, indep, lift, wc):
                     assert all(a <= b for a, b in zip(ladder, ladder[1:]))
             break
@@ -154,7 +159,7 @@ def test_gub_strengthen_raises_sharing_items():
     cut = assemble_cut((0, 3), (), lift, wc)
     assert cut.coeffs == (1, 0, 0, 1)
     gubs = ((0, 1), (2,), (3,))
-    stronger = gub_strengthen(cut, gubs, (0, 3), (), lift, wc)
+    stronger = gub_strengthen(cut, item_groups(gubs, k.n), (0, 3), (), lift, wc)
     assert stronger.coeffs == (1, 1, 0, 1)
     assert stronger.gub_strengthened
     assert cut_valid(stronger.coeffs, stronger.rhs, k.weights, k.capacity, gubs)
@@ -167,13 +172,31 @@ def test_gub_strengthen_no_ops():
     lift = compute_lifting(CoverClass((1, 1)), wc, 2)
     cut = assemble_cut((0, 3), (), lift, wc)
     singletons = ((0,), (1,), (2,), (3,))
-    assert gub_strengthen(cut, singletons, (0, 3), (), lift, wc) == cut
+    # nothing rises: the very same cut object comes back
+    assert gub_strengthen(cut, item_groups(singletons, k.n), (0, 3), (), lift, wc) is cut
 
     # positive-base class untouched even when groups overlap it
     lift35 = lift_for((2, 1))
     cut35 = assemble_cut((0, 1, 3), (), lift35, W35)
     grouped = ((0,), (1,), (2, 3))
-    assert gub_strengthen(cut35, grouped, (0, 1, 3), (), lift35, W35).coeffs == cut35.coeffs
+    assert gub_strengthen(cut35, item_groups(grouped, 4), (0, 1, 3), (), lift35, W35) is cut35
+
+
+K_GROUPS = normalize([2, 2, 2, 2, 5, 5, 5, 9, 9], 12)
+
+
+@pytest.mark.parametrize(
+    "gubs,error",
+    [
+        ([[0, 1]], UncoveredIndex),  # items 2..8 in no group
+        ([[0, 1, 2, 3], [3, 4], [5, 6, 7, 8]], OverlappingGroups),
+        ([[0, 1, 2, 3], [4, 5, 6], [7, 8, 12]], UncoveredIndex),  # no item 12
+    ],
+)
+def test_separate_rejects_bad_bound_groups(gubs, error):
+    point = random_fraction_point(random.Random(71), K_GROUPS.n)
+    with pytest.raises(error):
+        separate(K_GROUPS, point, gubs=gubs)
 
 
 def test_violation_examples():
@@ -301,7 +324,7 @@ def test_rank_ladder_agrees_across_scoring_rows_and_membership():
         order = point_order(xs, wc)
         for cover in iter_minimal_cover_classes(wc, k.capacity):
             lift = compute_lifting(cover, wc, k.capacity)
-            tuples = exact_maximal_tuples(lift, wc, cover.counts)
+            tuples = sorted(maximal_indep_bruteforce(cover.counts, lift, wc))
             indep = tuples[rng.randrange(len(tuples))]
             ladders = rank_coefficients(cover.counts, indep, lift, wc)
             row = sum(

@@ -79,6 +79,7 @@ from .separation import (
     SeparateOptions,
     SeparationResult,
     assemble_cut,
+    class_pairs,
     gub_strengthen,
     ladder_value,
     max_representative,

@@ -29,7 +29,7 @@ from .oracle import (
     cut_valid,
     separate_bruteforce,
 )
-from .separation import DEFAULT_TOLERANCE, SeparateOptions, separate
+from .separation import DEFAULT_TOLERANCE, SeparateOptions, class_pairs, separate
 
 USAGE_EXIT, DATA_EXIT, GUARD_EXIT = 1, 2, 3
 
@@ -61,15 +61,12 @@ def _exact_number(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
-def _reverse_flag(value: str) -> bool | None:
-    return {"auto": None, "on": True, "off": False}[value]
-
-
 def _cmd_covers(args) -> int:
     k, _ = load_instance(args.instance)
     wc = k.classes()
     lines = []
-    for cover in iter_minimal_cover_classes(wc, k.capacity, _reverse_flag(args.reverse)):
+    reverse = {"auto": None, "on": True, "off": False}[args.reverse]
+    for cover in iter_minimal_cover_classes(wc, k.capacity, reverse):
         if args.pretty:
             lines.append(
                 f"tuple=({','.join(map(str, cover.counts))})"
@@ -91,28 +88,19 @@ def _cmd_covers(args) -> int:
 
 def _cmd_cuts(args) -> int:
     k, _ = load_instance(args.instance)
-    wc = k.classes()
     lines = []
-    for cover in iter_minimal_cover_classes(wc, k.capacity, _reverse_flag(args.reverse)):
-        lift = compute_lifting(cover, wc, k.capacity)
-        search = IndepSearch(cover, lift, wc)
-        leaves = list(search)
-        for leaf in leaves:
-            record = {
-                "cover": list(cover.counts),
-                "indep": list(leaf.counts),
-                "maximal": leaf.maximal,
-                "exact": search.exact,
-            }
+    for cover, _lift, tuples, exact in class_pairs(k.classes(), k.capacity):
+        for indep in tuples:
             if args.pretty:
                 lines.append(
                     f"cover=({','.join(map(str, cover.counts))})"
-                    f" indep=({','.join(map(str, leaf.counts))})"
-                    f" maximal={'yes' if leaf.maximal else 'no'}"
-                    f" exact={'yes' if search.exact else 'no'}"
+                    f" indep=({','.join(map(str, indep))})"
+                    f" exact={'yes' if exact else 'no'}"
                 )
             else:
-                lines.append(_jsonify(record))
+                lines.append(
+                    _jsonify({"cover": list(cover.counts), "indep": list(indep), "exact": exact})
+                )
     _emit("".join(line + "\n" for line in lines), args.output)
     return 0
 
@@ -124,7 +112,6 @@ def _cmd_separate(args) -> int:
         tolerance=args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE,
         max_cuts=args.max_cuts,
         deadline_s=args.deadline_ms / 1000.0 if args.deadline_ms is not None else None,
-        reverse=_reverse_flag(args.reverse),
     )
     result = separate(k, xhat, gubs=None if args.no_gub else gubs, opts=opts)
     records = [
@@ -280,16 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_covers)
 
-    p = sub.add_parser("cuts", help="list cover/increment class pairs")
+    p = sub.add_parser("cuts", help="list the class pairs that separate scores")
     p.add_argument("instance")
-    p.add_argument("--reverse", choices=("auto", "on", "off"), default="auto")
     common(p)
     p.set_defaults(func=_cmd_cuts)
 
     p = sub.add_parser("separate", help="separate a fractional point")
     p.add_argument("instance")
     p.add_argument("point")
-    p.add_argument("--reverse", choices=("auto", "on", "off"), default="auto")
     p.add_argument("--no-gub", action="store_true", help="ignore bound groups")
     p.add_argument("--tolerance", type=_exact_number, default=None)
     p.add_argument("--max-cuts", type=int, default=None)
@@ -327,6 +312,8 @@ def main(argv=None) -> int:
         parser.error("--tolerance must be positive")
     if getattr(args, "deadline_ms", None) is not None and args.deadline_ms < 0:
         parser.error("--deadline-ms must be non-negative")
+    if getattr(args, "max_cuts", None) is not None and args.max_cuts < 0:
+        parser.error("--max-cuts must be non-negative")
     try:
         return args.func(args)
     except TooLarge as exc:

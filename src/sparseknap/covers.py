@@ -144,13 +144,9 @@ def first_minimal_cover(
         reverse = wc.total_weight() <= 2 * capacity
     builder = _first_reverse if reverse else _first_forward
     counts = builder(wc, capacity)
-    if counts is None:
-        return None
-    if is_minimal_cover(counts, wc, capacity):
-        return CoverClass(counts)
-    # Defensive: the division result is provably minimal, but if that ever
-    # failed we still return the true first class by scanning.
-    return CoverCursor(wc, capacity, reverse=reverse).next_class()
+    # both builders stop at the least count of the lightest occupied class
+    # that covers, so dropping one of its items fits: the tuple is minimal
+    return None if counts is None else CoverClass(counts)
 
 
 class CoverCursor:
@@ -230,13 +226,6 @@ class CoverCursor:
             if is_minimal_cover(candidate, self.wc, self.capacity):
                 return CoverClass(candidate)
         raise StopIteration
-
-    def next_class(self) -> CoverClass | None:
-        """Next minimal-cover class, or None when exhausted."""
-        try:
-            return next(self)
-        except StopIteration:
-            return None
 
 
 def iter_minimal_cover_classes(

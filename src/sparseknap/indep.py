@@ -48,7 +48,6 @@ class IndepLeaf:
     """
 
     counts: tuple[int, ...]
-    endpoint: tuple[int, int]
     maximal: bool
 
 
@@ -133,15 +132,6 @@ def _greedy(s: list[int], m: int, geom: JumpGeometry, lift: LiftingData) -> bool
     return exact
 
 
-def _endpoint(s, geom: JumpGeometry) -> tuple[int, int]:
-    x = y = 0
-    for j, c in enumerate(s):
-        dx, dy = geom.jumps[j]
-        x += c * dx
-        y += c * dy
-    return (x, y)
-
-
 class IndepSearch:
     """Stream of all search leaves for one cover, with maximality flags.
 
@@ -163,7 +153,7 @@ class IndepSearch:
         if not _greedy(cur, 0, geom, self.lift):
             self.exact = False
         last_maximal = tuple(cur)
-        yield IndepLeaf(tuple(cur), _endpoint(cur, geom), True)
+        yield IndepLeaf(tuple(cur), True)
         while True:
             star = None
             for pos in range(sigma - 2, -1, -1):
@@ -179,7 +169,7 @@ class IndepSearch:
             maximal = not all(a <= b for a, b in zip(leaf, last_maximal))
             if maximal:
                 last_maximal = leaf
-            yield IndepLeaf(leaf, _endpoint(leaf, geom), maximal)
+            yield IndepLeaf(leaf, maximal)
 
 
 def exact_maximal_tuples(

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
+from math import lcm
 from typing import Sequence
 
 from .errors import InvalidCut, TooLarge
@@ -205,11 +207,10 @@ def independent_set_masks(
         raise TooLarge(f"{len(free)} free items exceed the subset guard")
     ok: dict[int, bool] = {0: True}
     good = [0]
-    by_card = sorted(
-        (sum(1 << i for i in combo) for r in range(1, len(free) + 1)
-         for combo in combinations(free, r)),
-        key=lambda m: bin(m).count("1"),
-    )
+    # combinations come out by increasing size, so every one-item-removed
+    # subset is decided before the set itself
+    bits = [1 << i for i in free]
+    by_card = [sum(combo) for r in range(1, len(free) + 1) for combo in combinations(bits, r)]
     wt = {0: 0}
     adv = {0: 0}
     for mask in by_card:
@@ -335,6 +336,23 @@ def facet_rank(
     return _affine_rank(tight)
 
 
+@lru_cache(maxsize=8)
+def _separation_table(weights: tuple[int, ...], capacity: int) -> tuple:
+    """Point-independent part of :func:`separate_bruteforce`: per minimal
+    cover set its mask, right side, nonzero base coefficients outside the
+    cover as ``(item, coeff)`` pairs, maximal increment masks and lifting."""
+    rows = []
+    for cover_mask in minimal_cover_sets(weights, capacity):
+        _, maximal, lift = independent_set_masks(cover_mask, weights, capacity)
+        base = tuple(
+            (i, c)
+            for i, c in enumerate(lift.item_coeffs)
+            if c and not cover_mask >> i & 1
+        )
+        rows.append((cover_mask, bin(cover_mask).count("1") - 1, base, tuple(maximal), lift))
+    return tuple(rows)
+
+
 def separate_bruteforce(
     weights: Sequence[int], capacity: int, xhat: Sequence[Fraction]
 ) -> tuple[Fraction, tuple[tuple[int, ...], int] | None]:
@@ -342,31 +360,32 @@ def separate_bruteforce(
 
     Walks every minimal cover set and every maximal increment set, forms the
     lifted inequality and returns the best violation with its cut (or a
-    non-positive violation and ``None`` when nothing is violated).
+    non-positive violation and ``None`` when nothing is violated).  The
+    point is summed in integers, scaled by the common denominator of its
+    entries.
     """
     n = len(weights)
     if n > 12:
         raise TooLarge(f"{n} items exceed the exhaustive separation guard 12")
     xs = [Fraction(v) for v in xhat]
-    xsum = {0: Fraction(0)}
+    scale = lcm(*(x.denominator for x in xs))
+    ints = [x.numerator * (scale // x.denominator) for x in xs]
+    xsum = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
-        xsum[mask] = xsum[mask ^ low] + xs[low.bit_length() - 1]
-    best: Fraction = Fraction(0)
-    best_cut = None
-    for cover_mask in minimal_cover_sets(weights, capacity):
-        _, maximal, lift = independent_set_masks(cover_mask, weights, capacity)
-        rhs = bin(cover_mask).count("1") - 1
-        base = xsum[cover_mask]
-        for i in range(n):
-            if not cover_mask >> i & 1:
-                base += lift.item_coeffs[i] * xs[i]
+        xsum[mask] = xsum[mask ^ low] + ints[low.bit_length() - 1]
+    best = 0
+    best_pair = None
+    for cover_mask, rhs, base_coeffs, maximal, lift in _separation_table(
+        tuple(weights), capacity
+    ):
+        base = xsum[cover_mask] + sum(c * ints[i] for i, c in base_coeffs) - rhs * scale
         for s_mask in maximal:
-            violation = base + xsum[s_mask] - rhs
-            if violation > best:
-                best = violation
-                best_cut = lifted_cut_of_sets(cover_mask, s_mask, lift, n)
-    return best, best_cut
+            value = base + xsum[s_mask]
+            if value > best:
+                best, best_pair = value, (cover_mask, s_mask, lift)
+    best_cut = None if best_pair is None else lifted_cut_of_sets(*best_pair, n)
+    return Fraction(best, scale), best_cut
 
 
 def class_members(

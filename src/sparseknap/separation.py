@@ -15,9 +15,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .covers import LiftingData, compute_lifting, iter_minimal_cover_classes
+from .covers import CoverClass, LiftingData, compute_lifting, iter_minimal_cover_classes
 from .errors import DimensionMismatch
 from .indep import IndepSearch, exact_maximal_tuples
 from .knapsack import (
@@ -49,7 +49,6 @@ class SeparateOptions:
     tolerance: Fraction = DEFAULT_TOLERANCE
     max_cuts: int | None = None
     deadline_s: float | None = None
-    reverse: bool | None = None  # cover enumeration direction (None = auto)
 
 
 @dataclass
@@ -269,6 +268,29 @@ def gub_strengthen(
     return replace(cut, coeffs=tuple(coeffs), gub_strengthened=True)
 
 
+def class_pairs(
+    wc: WeightClasses, capacity: int
+) -> Iterator[tuple[CoverClass, LiftingData, list[tuple[int, ...]], bool]]:
+    """Every minimal cover class with its maximal increment-set classes.
+
+    Covers come in the cursor's automatic direction.  Each yields
+    ``(cover, lift, tuples, exact)``: ``tuples`` lists the jump search's
+    maximal leaves in search order, unless that search pruned lossily
+    (``exact`` False); then it is the exact staircase walk's sorted list.
+    This is the one source of class pairs for :func:`separate` and the
+    ``cuts`` command.
+    """
+    for cover in iter_minimal_cover_classes(wc, capacity):
+        lift = compute_lifting(cover, wc, capacity)
+        search = IndepSearch(cover, lift, wc)
+        tuples = [leaf.counts for leaf in search if leaf.maximal]
+        if not search.exact:
+            # the jump search pruned lossily for this cover; recover the
+            # missed classes with the exact staircase walk
+            tuples = exact_maximal_tuples(lift, wc, cover.counts)
+        yield cover, lift, tuples, search.exact
+
+
 def separate(
     k: Knapsack,
     xhat: Sequence,
@@ -277,7 +299,7 @@ def separate(
 ) -> SeparationResult:
     """All violated lifted cover inequalities at a fractional point.
 
-    Scans every (cover class, increment class) pair; a pair whose strongest
+    Scores every pair of :func:`class_pairs`; a pair whose strongest
     member beats the tolerance is materialized through its representative
     index sets, optionally strengthened with bound-group information, and
     reported.  Identical inequalities from different provenances are reported
@@ -285,6 +307,8 @@ def separate(
     lexicographically by coefficients.
     """
     opts = opts or SeparateOptions()
+    if opts.max_cuts is not None and opts.max_cuts < 0:
+        raise ValueError(f"max_cuts must be non-negative, got {opts.max_cuts}")
     started = time.perf_counter()
     wc = k.classes()
     order = point_order(xhat, wc)
@@ -295,18 +319,10 @@ def separate(
     deadline = (
         started + opts.deadline_s if opts.deadline_s is not None else None
     )
-    for cover in iter_minimal_cover_classes(wc, k.capacity, reverse=opts.reverse):
+    for cover, lift, candidates, exact in class_pairs(wc, k.capacity):
         if deadline is not None and time.perf_counter() > deadline:
             truncated = True
             break
-        lift = compute_lifting(cover, wc, k.capacity)
-        search = IndepSearch(cover, lift, wc)
-        candidates = [leaf.counts for leaf in search if leaf.maximal]
-        exact = search.exact
-        if not exact:
-            # the jump search pruned lossily for this cover; recover the
-            # missed classes with the exact staircase walk
-            candidates = exact_maximal_tuples(lift, wc, cover.counts)
         for indep_counts in candidates:
             scanned += 1
             excess = ladder_value(cover.counts, indep_counts, lift, order.prefix) - cover.rhs

@@ -2,28 +2,38 @@ import json
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from sparseknap import CoverClass, compute_lifting, load_instance, separate
 from sparseknap.cli import build_parser
+from sparseknap.oracle import maximal_indep_bruteforce
 
-FIXTURES = Path(__file__).parent.parent / "fixtures"
-SRC = Path(__file__).parent.parent / "src"
+from conftest import LOSSY_INSTANCES
+
+ROOT = Path(__file__).parent.parent
+FIXTURES = ROOT / "fixtures"
+SRC = ROOT / "src"
 
 
-def run_cli(*args, cwd=None):
+def run_python(*args, cwd=None):
     # the package is imported from this checkout's src, whatever the caller's path
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "sparseknap", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
     )
+
+
+def run_cli(*args, cwd=None):
+    return run_python("-m", "sparseknap", *args, cwd=cwd)
 
 
 def test_covers_fixture_two_lines():
@@ -59,8 +69,27 @@ def test_cuts_stream():
     proc = run_cli("cuts", str(FIXTURES / "w35.json"))
     assert proc.returncode == 0
     records = [json.loads(line) for line in proc.stdout.strip().splitlines()]
-    assert all(set(r) == {"cover", "indep", "maximal", "exact"} for r in records)
+    assert all(set(r) == {"cover", "indep", "exact"} for r in records)
     assert any(r["cover"] == [2, 1] for r in records)
+
+
+@pytest.mark.parametrize("weights, capacity", LOSSY_INSTANCES)
+def test_cuts_lists_maximal_classes_on_lossy_covers(tmp_path, weights, capacity):
+    inst = tmp_path / "lossy.json"
+    inst.write_text(json.dumps({"weights": list(weights), "capacity": capacity}))
+    proc = run_cli("cuts", str(inst))
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert any(not r["exact"] for r in records), "the fallback must run"
+    rows = defaultdict(list)
+    for r in records:
+        rows[tuple(r["cover"])].append(tuple(r["indep"]))
+    k, _ = load_instance(str(inst))
+    wc = k.classes()
+    for cover, tuples in rows.items():
+        lift = compute_lifting(CoverClass(cover), wc, k.capacity)
+        assert sorted(tuples) == sorted(maximal_indep_bruteforce(cover, lift, wc)), cover
+    assert len(records) == separate(k, [0] * k.n).classes_scanned
 
 
 def test_separate_output_and_determinism():
@@ -193,4 +222,25 @@ def test_separate_bad_tolerance_is_usage_error(value):
         f"--tolerance={value}",
     )
     assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--max-cuts", "-1"), ("--reverse", "on"), ("--deadline-ms", "-1")],
+    ids=["negative-max-cuts", "reverse", "negative-deadline"],
+)
+def test_separate_bad_option_is_usage_error(extra):
+    proc = run_cli(
+        "separate", str(FIXTURES / "w35.json"), str(FIXTURES / "w35_point.json"), *extra
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs(demo):
+    proc = run_python(str(demo))
+    assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -51,7 +51,7 @@ def test_first_matches_cursor_in_both_directions():
         k = random_valid_instance(rng)
         wc = class_profile(k)
         for reverse in (False, True):
-            cursor_first = CoverCursor(wc, k.capacity, reverse=reverse).next_class()
+            cursor_first = next(iter(CoverCursor(wc, k.capacity, reverse=reverse)), None)
             assert first_minimal_cover(wc, k.capacity, reverse=reverse) == cursor_first
 
 

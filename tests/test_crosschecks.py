@@ -157,14 +157,10 @@ def test_cover_cursors_are_independent():
     wc = class_profile(k)
     one = CoverCursor(wc, k.capacity)
     two = CoverCursor(wc, k.capacity)
-    first_one = one.next_class()
+    first_one = next(one, None)
     # interleaving a second cursor does not disturb the first
-    all_two = []
-    while (c := two.next_class()) is not None:
-        all_two.append(c)
-    rest_one = []
-    while (c := one.next_class()) is not None:
-        rest_one.append(c)
+    all_two = list(two)
+    rest_one = list(one)
     assert [first_one] + rest_one == all_two
 
 

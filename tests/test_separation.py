@@ -247,6 +247,8 @@ def test_separate_is_deterministic_and_deduplicated():
 def test_separate_max_cuts_marks_truncated():
     res = separate(K35, XHAT, opts=SeparateOptions(max_cuts=1))
     assert len(res.cuts) == 1 and res.truncated
+    with pytest.raises(ValueError):
+        separate(K35, XHAT, opts=SeparateOptions(max_cuts=-1))
 
 
 def test_separate_deadline_never_wrong():

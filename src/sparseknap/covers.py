@@ -2,18 +2,23 @@
 
 Two subsets of items are equivalent when they take the same number of items
 from every weight class, so a class of covers is just a count tuple
-``(c_1, ..., c_sigma)``.  The enumerator walks these tuples with the first
-count changing fastest and skips whole stretches that provably contain no
-minimal cover:
+``(c_1, ..., c_sigma)``.  The enumerator is an odometer over these tuples
+with the heaviest class slowest.  At class ``j``, with ``O`` the weight of
+the heavier counts already fixed and ``L_j`` the weight of every item
+lighter than class ``j``, it opens only the counts that lead to a minimal
+cover:
 
-* once a stretch (fixed ``c_2..c_sigma``) contains a cover, every later tuple
-  of the stretch is a cover with a removable item, hence not minimal;
-* if even ``c_1 = |W_1|`` does not cover, the whole stretch is dead;
-* otherwise one division yields the unique candidate of the stretch.
+* if ``O`` exceeds the capacity, lighter items would be removable, so
+  ``c_j = 0``;
+* otherwise ``c_j`` runs from the least count that can still cover with all
+  lighter items, ``ceil((capacity + 1 - O - L_j) / w_j)``, to the largest
+  that does not cover with one item less, ``(capacity - O) // w_j + 1``.
 
-When the items altogether weigh at most twice the capacity, covers are large
-and it pays off to walk the tuples in the opposite direction; the cursor does
-that automatically unless told otherwise.
+Every opened branch holds a minimal cover, and the lightest class takes a
+single count, so each class costs O(sigma) steps, the first one included.
+The cursor walks the counts upwards, or downwards when the items altogether
+weigh at most twice the capacity; both directions visit the same branches,
+so the direction only fixes the output order.
 """
 
 from __future__ import annotations
@@ -85,68 +90,16 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _first_forward(wc: WeightClasses, capacity: int) -> tuple[int, ...] | None:
-    """Candidate of the first stretch reached in the forward walk.
-
-    Working from the heaviest class down, take the least count that still
-    allows a cover when every lighter class is full; one division each.
-    """
-    sizes = wc.sizes
-    weights = wc.class_weights
-    lighter_full = [0] * (wc.sigma + 1)
-    for j in range(wc.sigma):
-        lighter_full[j + 1] = checked_add(
-            lighter_full[j], checked_mul(weights[j], sizes[j])
-        )
-    counts = [0] * wc.sigma
-    heavier = 0  # weight already fixed in classes above j
-    for j in range(wc.sigma - 1, -1, -1):
-        need = capacity + 1 - lighter_full[j] - heavier
-        c = max(0, _ceil_div(need, weights[j]))
-        if c > sizes[j]:
-            return None  # not a cover even with everything selected
-        counts[j] = c
-        heavier = checked_add(heavier, checked_mul(c, weights[j]))
-    return tuple(counts)
-
-
-def _first_reverse(wc: WeightClasses, capacity: int) -> tuple[int, ...] | None:
-    """Candidate of the first stretch reached in the reversed walk.
-
-    Fill greedily from the heaviest class until the weight exceeds the
-    capacity; one division each.
-    """
-    sizes = wc.sizes
-    weights = wc.class_weights
-    counts = [0] * wc.sigma
-    need = capacity + 1
-    for j in range(wc.sigma - 1, -1, -1):
-        if need <= 0:
-            break
-        c = min(sizes[j], _ceil_div(need, weights[j]))
-        counts[j] = c
-        need -= checked_mul(c, weights[j])
-    if need > 0:
-        return None
-    return tuple(counts)
-
-
 def first_minimal_cover(
     wc: WeightClasses, capacity: int, reverse: bool | None = None
 ) -> CoverClass | None:
-    """First minimal-cover class of the enumeration, in O(sigma) divisions.
+    """First minimal-cover class of the enumeration, in O(sigma) steps.
 
     ``reverse=None`` picks the direction the cursor would pick.  Returns
     ``None`` only when no cover exists at all (impossible for a validated
     knapsack).
     """
-    if reverse is None:
-        reverse = wc.total_weight() <= 2 * capacity
-    builder = _first_reverse if reverse else _first_forward
-    counts = builder(wc, capacity)
-    # both builders stop at the least count of the lightest occupied class
-    # that covers, so dropping one of its items fits: the tuple is minimal
-    return None if counts is None else CoverClass(counts)
+    return next(CoverCursor(wc, capacity, reverse), None)
 
 
 class CoverCursor:
@@ -167,65 +120,55 @@ class CoverCursor:
         self.wc = wc
         self.capacity = capacity
         self.reverse = reverse
-        self._sizes = wc.sizes
-        self._weights = wc.class_weights
-        # rest = counts of classes 2..sigma, walked as an odometer
-        if wc.sigma == 1:
-            self._rest: list[int] | None = []
-        elif reverse:
-            self._rest = list(self._sizes[1:])
-        else:
-            self._rest = [0] * (wc.sigma - 1)
-        self._exhausted = False
+        self._walk = self._classes()
 
-    def _advance_rest(self) -> bool:
-        """Odometer step over the rest tuple; False when done."""
-        rest = self._rest
-        assert rest is not None
-        if not rest:
-            return False
-        if self.reverse:
-            for i in range(len(rest)):
-                if rest[i] > 0:
-                    rest[i] -= 1
-                    for p in range(i):
-                        rest[p] = self._sizes[p + 1]
-                    return True
-            return False
-        for i in range(len(rest)):
-            if rest[i] < self._sizes[i + 1]:
-                rest[i] += 1
-                for p in range(i):
-                    rest[p] = 0
-                return True
-        return False
-
-    def _stretch_candidate(self) -> tuple[int, ...] | None:
-        """Unique minimal-cover candidate of the current stretch, if any."""
-        rest = self._rest
-        assert rest is not None
-        rest_weight = 0
-        for c, w in zip(rest, self._weights[1:]):
-            rest_weight = checked_add(rest_weight, checked_mul(c, w))
-        need = self.capacity + 1 - rest_weight
-        c1 = max(0, _ceil_div(need, self._weights[0]))
-        if c1 > self._sizes[0]:
-            return None  # even the full first class does not cover
-        return (c1, *rest)
+    def _classes(self) -> Iterator[CoverClass]:
+        """The odometer over the counts, heaviest class slowest, opening at
+        each level only the counts that still lead to a minimal cover."""
+        capacity = self.capacity
+        if capacity < 0:
+            return  # the empty tuple already covers, so no cover is minimal
+        weights = self.wc.class_weights
+        sizes = self.wc.sizes
+        sigma = len(weights)
+        lighter = [0] * sigma  # weight of all items of the classes below j
+        for j in range(1, sigma):
+            lighter[j] = checked_add(lighter[j - 1], checked_mul(weights[j - 1], sizes[j - 1]))
+        step = -1 if self.reverse else 1
+        counts = [0] * sigma
+        last = [0] * sigma  # where the open range of each level ends
+        heavier = [0] * sigma  # weight of the counts above level j
+        j = sigma - 1
+        while True:
+            above = heavier[j]
+            if above > capacity:
+                lo = hi = 0  # already covered: lighter items are removable
+            else:
+                w = weights[j]
+                lo = max(0, _ceil_div(capacity + 1 - above - lighter[j], w))
+                hi = min(sizes[j], (capacity - above) // w + 1)
+                if lo > hi:
+                    return  # only at the top: all items together do not cover
+            # at level 0 nothing is lighter, so lo == hi: one count per branch
+            counts[j], last[j] = (hi, lo) if self.reverse else (lo, hi)
+            while j == 0:
+                # hand out the tuple, then step the lowest level whose
+                # range is not used up; the levels below it reopen
+                yield CoverClass(tuple(counts))
+                j = 1
+                while j < sigma and counts[j] == last[j]:
+                    j += 1
+                if j == sigma:
+                    return
+                counts[j] += step
+            heavier[j - 1] = checked_add(heavier[j], checked_mul(counts[j], weights[j]))
+            j -= 1
 
     def __iter__(self) -> Iterator[CoverClass]:
         return self
 
     def __next__(self) -> CoverClass:
-        while not self._exhausted:
-            candidate = self._stretch_candidate()
-            if not self._advance_rest():
-                self._exhausted = True
-            if candidate is None:
-                continue
-            if is_minimal_cover(candidate, self.wc, self.capacity):
-                return CoverClass(candidate)
-        raise StopIteration
+        return next(self._walk)
 
 
 def iter_minimal_cover_classes(

@@ -167,6 +167,19 @@ def test_verify_passes_on_fixture():
     assert "PASS network-replay" in pretty.stdout
 
 
+def test_verify_checks_every_cover_on_lossy_instance(tmp_path):
+    # the jump search prunes lossily on some covers of this instance; the
+    # completeness check must still compare all seven with the oracle
+    weights, capacity = LOSSY_INSTANCES[0]
+    inst = tmp_path / "lossy.json"
+    inst.write_text(json.dumps({"weights": list(weights), "capacity": capacity}))
+    proc = run_cli("verify", str(inst))
+    assert proc.returncode == 0, proc.stderr
+    checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
+    assert checks["indep-complete"]["ok"] is True
+    assert checks["indep-complete"]["detail"] == "maximal classes match oracle on 7 covers"
+
+
 def test_covers_reverse_flag_controls_order():
     auto = run_cli("covers", str(FIXTURES / "w35.json"))
     forward = run_cli("covers", str(FIXTURES / "w35.json"), "--reverse", "off")

@@ -1,4 +1,5 @@
 import random
+import time
 
 from sparseknap import (
     CoverClass,
@@ -85,8 +86,33 @@ def test_enumeration_direction_yields_same_set():
         fwd = [c.counts for c in iter_minimal_cover_classes(wc, k.capacity, reverse=False)]
         rev = [c.counts for c in iter_minimal_cover_classes(wc, k.capacity, reverse=True)]
         assert sorted(fwd) == sorted(rev)
+        # the heaviest class changes slowest; the golden digests depend on it
+        assert fwd == sorted(fwd, key=lambda t: t[::-1])
         assert len(fwd) == len(set(fwd)), "classes must not repeat"
         assert fwd == list(reversed(rev))
+
+
+def test_enumeration_work_is_bounded_per_class():
+    # 21^5 rest tuples hold only 271 minimal covers; a walk over all of
+    # them takes minutes, one that opens only fruitful branches milliseconds
+    wc = class_profile(normalize([w for w in range(10, 16) for _ in range(20)], 60))
+    start = time.perf_counter()
+    fwd = [c.counts for c in iter_minimal_cover_classes(wc, 60, reverse=False)]
+    rev = [c.counts for c in iter_minimal_cover_classes(wc, 60, reverse=True)]
+    assert len(fwd) == len(rev) == 271
+    assert fwd == list(reversed(rev))
+    assert all(is_minimal_cover(counts, wc, 60) for counts in fwd)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_first_class_with_many_weight_classes():
+    weights = list(range(1000, 2500))
+    k = normalize(weights, sum(weights) // 2)
+    wc = class_profile(k)
+    for reverse in (False, True):
+        first = first_minimal_cover(wc, k.capacity, reverse=reverse)
+        assert is_minimal_cover(first.counts, wc, k.capacity)
+        assert first == next(CoverCursor(wc, k.capacity, reverse=reverse))
 
 
 def test_enumeration_matches_oracle_on_random_instances():
